@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from ..core.frontend.query import LEFT, PAYLOAD, RIGHT, QueryNode, source
 from ..core.runtime.stream import EventStream
 from ..datagen.generators import uniform_value_stream
@@ -57,11 +59,10 @@ def _single_stream(num_events: int, seed: int) -> Dict[str, EventStream]:
 
 def _integer_stream(num_events: int, seed: int) -> Dict[str, EventStream]:
     stream = uniform_value_stream(num_events, seed=seed + 29)
-    rounded = [e for e in stream.events]
-    from ..core.runtime.stream import Event
-
-    rounded = [Event(e.start, e.end, float(round(e.value()))) for e in rounded]
-    return {"values": EventStream(rounded, name="values", check_order=False)}
+    rounded = np.round(stream.values())
+    return {
+        "values": EventStream.from_arrays(stream.starts(), stream.ends(), rounded, name="values")
+    }
 
 
 def _two_streams(num_events: int, seed: int) -> Dict[str, EventStream]:

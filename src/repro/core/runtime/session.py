@@ -56,8 +56,8 @@ from ..codegen.incremental import SessionStateStore
 from ..ir.nodes import TiltProgram
 from ..lineage.boundary import resolve_boundaries
 from .engine import QueryResult, TiltEngine
-from .ssbuf import SSBuf, _ssbuf_from_arrays
-from .stream import Event
+from .ssbuf import SSBuf, _ssbuf_from_arrays, change_points
+from .stream import EventStream
 
 __all__ = ["TickResult", "StreamingSession"]
 
@@ -67,11 +67,12 @@ _INF = float("inf")
 class _IngestColumn:
     """Incremental change-point accumulation for one program input.
 
-    Appending an in-order event ``(s, e]`` mirrors ``SSBuf.from_events``:
-    a φ snapshot at ``s`` when a gap precedes it, then a value snapshot at
-    ``e``.  The column therefore materializes, at any point, exactly the
-    prefix of the buffer the batch ingest would have built — which is what
-    the byte-identical equivalence of session and batch execution rests on.
+    Appending in-order events goes through the same
+    :func:`~repro.core.runtime.ssbuf.change_points` rule as
+    ``SSBuf.from_events``, continuing from the previous end.  The column
+    therefore materializes, at any point, exactly the prefix of the buffer
+    the batch ingest would have built — which is what the byte-identical
+    equivalence of session and batch execution rests on.
 
     ``anchor`` is the materialized buffer's ``start_time``; pruning advances
     it (see :meth:`prune`), matching ``SSBuf.slice``'s clamping semantics so
@@ -118,16 +119,11 @@ class _IngestColumn:
     def started(self) -> bool:
         return self.prev_end is not None
 
-    def extend(self, events: Sequence[Event]) -> None:
+    def extend(self, events: EventStream) -> None:
         if not events:
             return
-        if self.field is not None:
-            f = self.field
-            vals = np.asarray([e.field(f) for e in events], dtype=np.float64)
-        else:
-            vals = np.asarray([e.value() for e in events], dtype=np.float64)
-        starts = np.asarray([e.start for e in events], dtype=np.float64)
-        ends = np.asarray([e.end for e in events], dtype=np.float64)
+        vals = events.values(self.field)
+        starts, ends = events.starts(), events.ends()
         prev_end = self.prev_end
         first_anchor = None
         if prev_end is None:
@@ -135,35 +131,19 @@ class _IngestColumn:
             # snapshot interval is empty, values before it are φ
             first_anchor = float(starts[0])
             prev_end = first_anchor
-        prev_ends = np.empty(len(ends))
-        prev_ends[0] = prev_end
-        prev_ends[1:] = ends[:-1]
-        overlap = starts < prev_ends
-        if np.any(overlap):
-            i = int(np.argmax(overlap))
+        late = starts[1:] < ends[:-1]
+        if starts[0] < prev_end or late.any():
+            i = 0 if starts[0] < prev_end else int(np.argmax(late)) + 1
+            before = prev_end if i == 0 else ends[i - 1]
             raise OverlappingEventsError(
                 f"input {self.name!r}: event starting at {starts[i]:g} overlaps or "
-                f"precedes ingested data ending at {prev_ends[i]:g}; sessions require "
+                f"precedes ingested data ending at {before:g}; sessions require "
                 "in-order, non-overlapping arrival"
             )
         if first_anchor is not None:
             self.anchor = first_anchor
-        # one snapshot per event end, plus a φ snapshot at each gap start
-        gaps = starts > prev_ends
-        m = len(events) + int(np.count_nonzero(gaps))
-        times = np.empty(m)
-        values = np.empty(m)
-        valid = np.empty(m, dtype=bool)
-        pos = np.arange(len(events)) + np.cumsum(gaps)
-        times[pos] = ends
-        values[pos] = vals
-        valid[pos] = True
-        gap_pos = pos[gaps] - 1
-        times[gap_pos] = starts[gaps]
-        values[gap_pos] = 0.0
-        valid[gap_pos] = False
         self.prev_end = float(ends[-1])
-        self._append(times, values, valid)
+        self._append(*change_points(starts, ends, vals, prev_end))
         self._cache = None
 
     def _append(self, times: np.ndarray, values: np.ndarray, valid: np.ndarray) -> None:
@@ -623,6 +603,8 @@ class StreamingSession:
                 events = src.poll(budget)
                 if not events:
                     continue
+                # custom sources may still return a list of Event objects
+                events = EventStream(events, name=src.name, check_order=False)
                 try:
                     for col in cols:
                         col.extend(events)

@@ -120,65 +120,40 @@ class SSBuf:
         on_overlap: str = "error",
         start_time: Optional[float] = None,
     ) -> "SSBuf":
-        """Convert an in-order sequence of events to change-point form.
+        """Convert an in-order stream (or sequence of events) to change-point form.
 
-        Gaps between events become φ snapshots.  Overlapping events either
-        raise :class:`OverlappingEventsError` (``on_overlap='error'``) or are
-        resolved by letting the most recently started event win
-        (``on_overlap='last'``), which is the list/map flattening strategy
-        mentioned in Section 6.1.1 reduced to a single representative value.
-
-        The streaming session's ingest columns
-        (:class:`repro.core.runtime.session._IngestColumn`) build the same
-        change-point form incrementally; any edit to the non-overlapping
-        construction here must be mirrored there, or tick-by-tick ingestion
-        stops being prefix-identical to batch ingestion.
+        Gaps between events become φ snapshots (see :func:`change_points`).
+        Overlapping events either raise :class:`OverlappingEventsError`
+        (``on_overlap='error'``) or are resolved by letting the most recently
+        started event win (``on_overlap='last'``), which is the list/map
+        flattening strategy mentioned in Section 6.1.1 reduced to a single
+        representative value.
         """
-        evs = list(events)
-        if not evs:
+        stream = EventStream(events, check_order=False)
+        if not len(stream):
             return cls.empty(start_time if start_time is not None else 0.0)
-
-        def payload(e: Event) -> float:
-            return e.field(field) if field is not None else e.value()
 
         if on_overlap not in ("error", "last"):
             raise QueryBuildError(f"unknown overlap policy {on_overlap!r}")
 
-        has_overlap = any(evs[i + 1].start < evs[i].end for i in range(len(evs) - 1))
+        starts, ends = stream.starts(), stream.ends()
+        has_overlap = bool(np.any(starts[1:] < ends[:-1]))
         if has_overlap and on_overlap == "error":
             raise OverlappingEventsError(
                 "events have overlapping validity intervals; pass on_overlap='last'"
             )
 
-        first_start = evs[0].start
+        first_start = float(starts[0])
         buf_start = first_start if start_time is None else min(start_time, first_start)
+        vals = stream.values(field)
 
         if not has_overlap:
-            times: List[float] = []
-            values: List[float] = []
-            valid: List[bool] = []
-            if buf_start < first_start:
-                times.append(first_start)
-                values.append(0.0)
-                valid.append(False)
-            prev_end = first_start
-            for e in evs:
-                if e.start > prev_end:
-                    times.append(e.start)
-                    values.append(0.0)
-                    valid.append(False)
-                times.append(e.end)
-                values.append(payload(e))
-                valid.append(True)
-                prev_end = e.end
+            times, values, valid = change_points(starts, ends, vals, buf_start)
             return cls(times, values, valid, start_time=buf_start)
 
         # Overlap resolution via a boundary sweep: the most recently started
         # active event provides the value of each elementary interval.
-        bounds = sorted({b for e in evs for b in (e.start, e.end)})
-        starts = np.array([e.start for e in evs])
-        ends = np.array([e.end for e in evs])
-        vals = np.array([payload(e) for e in evs])
+        bounds = np.unique(np.concatenate((starts, ends))).tolist()
         times_l: List[float] = []
         values_l: List[float] = []
         valid_l: List[bool] = []
@@ -345,12 +320,9 @@ class SSBuf:
         """
         if len(self.times) <= 1:
             return self
-        keep = np.ones(len(self.times), dtype=bool)
-        for i in range(len(self.times) - 1):
-            same_validity = self.valid[i] == self.valid[i + 1]
-            same_value = (not self.valid[i]) or self.values[i] == self.values[i + 1]
-            if same_validity and same_value:
-                keep[i] = False
+        valid = self.valid
+        same = (valid[:-1] == valid[1:]) & (~valid[:-1] | (self.values[:-1] == self.values[1:]))
+        keep = np.append(~same, True)
         return SSBuf(
             self.times[keep], self.values[keep], self.valid[keep], start_time=self.start_time
         )
@@ -363,17 +335,11 @@ class SSBuf:
 
     def to_events(self, compact: bool = True) -> List[Event]:
         """Convert back to a list of events (dropping φ snapshots)."""
-        buf = self.compact() if compact else self
-        events: List[Event] = []
-        starts = buf.interval_starts
-        for i in range(len(buf.times)):
-            if buf.valid[i] and buf.times[i] > starts[i]:
-                events.append(Event(float(starts[i]), float(buf.times[i]), float(buf.values[i])))
-        return events
+        return _valid_intervals(self.compact() if compact else self, "stream").events
 
     def to_stream(self, name: str = "stream") -> EventStream:
         """Convert back to an :class:`EventStream`."""
-        return EventStream(self.to_events(), name=name, check_order=False)
+        return _valid_intervals(self.compact(), name)
 
     # ------------------------------------------------------------------ #
     # combination helpers
@@ -420,13 +386,53 @@ def _ssbuf_from_arrays(times, values, valid, start_time) -> "SSBuf":
     return buf
 
 
+def _valid_intervals(buf: SSBuf, name: str) -> EventStream:
+    """The valid, non-empty snapshot intervals of ``buf`` as a stream."""
+    starts = buf.interval_starts
+    keep = buf.valid & (buf.times > starts)
+    return EventStream._from_columns(starts[keep], buf.times[keep], buf.values[keep], name)
+
+
+def change_points(
+    starts: np.ndarray, ends: np.ndarray, values: np.ndarray, prev_end: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Change-point form of in-order, non-overlapping events.
+
+    Each event ``(s, e]`` becomes a value snapshot at ``e``, preceded by a φ
+    snapshot at ``s`` when a gap separates it from the previous event's end
+    (``prev_end`` for the first one).  Returns ``(times, values, valid)``.
+
+    This is the one statement of the event-to-snapshot rule: batch
+    conversion (:meth:`SSBuf.from_events`) and the streaming session's
+    incremental ingest both call it, which keeps tick-by-tick ingestion
+    prefix-identical to batch ingestion.
+    """
+    prev_ends = np.empty(len(ends))
+    prev_ends[0] = prev_end
+    prev_ends[1:] = ends[:-1]
+    gaps = starts > prev_ends
+    m = len(ends) + int(np.count_nonzero(gaps))
+    times = np.empty(m)
+    out = np.empty(m)
+    valid = np.empty(m, dtype=bool)
+    pos = np.arange(len(ends)) + np.cumsum(gaps)
+    times[pos] = ends
+    out[pos] = values
+    valid[pos] = True
+    gap_pos = pos[gaps] - 1
+    times[gap_pos] = starts[gaps]
+    out[gap_pos] = 0.0
+    valid[gap_pos] = False
+    return times, out, valid
+
+
 def ssbuf_from_stream(
     stream: EventStream,
     field: Optional[str] = None,
     on_overlap: str = "error",
 ) -> SSBuf:
     """Convert an :class:`EventStream` (or one field of it) to an :class:`SSBuf`."""
-    return SSBuf.from_events(stream.events, field=field, on_overlap=on_overlap)
+    return SSBuf.from_events(stream, field=field, on_overlap=on_overlap)
 
 
 def ssbufs_from_stream(stream: EventStream, on_overlap: str = "error") -> Dict[str, SSBuf]:

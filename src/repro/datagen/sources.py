@@ -31,7 +31,7 @@ import time
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence
 
-from ..core.runtime.stream import Event, EventStream
+from ..core.runtime.stream import Event, EventStream, _join
 from ..errors import QueryBuildError, QueueClosedError
 
 __all__ = [
@@ -66,8 +66,12 @@ class EventSource:
     #: would never terminate.
     finite: bool = True
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
-        """Return the next in-order batch of events (possibly empty)."""
+    def poll(self, max_events: Optional[int] = None) -> EventStream:
+        """Return the next in-order batch of events (possibly empty).
+
+        Sessions also accept a list of :class:`Event` objects from custom
+        sources and convert it once.
+        """
         raise NotImplementedError
 
     @property
@@ -100,31 +104,30 @@ class StreamReplaySource(EventSource):
         if events_per_poll is not None and events_per_poll < 1:
             raise QueryBuildError("events_per_poll must be >= 1")
         self.name = name or stream.name
-        self._events = list(stream.events)
+        self._stream = stream
         self._pos = 0
         self._events_per_poll = events_per_poll
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
-        limit = len(self._events) - self._pos
+    def poll(self, max_events: Optional[int] = None) -> EventStream:
+        limit = len(self._stream) - self._pos
         if self._events_per_poll is not None:
             limit = min(limit, self._events_per_poll)
         if max_events is not None:
             limit = min(limit, max_events)
-        if limit <= 0:
-            return []
-        chunk = self._events[self._pos : self._pos + limit]
+        limit = max(limit, 0)
+        chunk = self._stream[self._pos : self._pos + limit]
         self._pos += limit
         return chunk
 
     @property
     def horizon(self) -> float:
-        if self._pos >= len(self._events):
+        if self._pos >= len(self._stream):
             return _INF
-        return self._events[self._pos].start
+        return float(self._stream.starts()[self._pos])
 
     @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self._events)
+        return self._pos >= len(self._stream)
 
 
 class GeneratorSource(EventSource):
@@ -159,7 +162,7 @@ class GeneratorSource(EventSource):
         self._events_per_poll = events_per_poll
         self._chunk_index = 0
         self._offset = 0.0
-        self._pending: Deque[Event] = deque()
+        self._pending = EventStream([], name=name)
 
     def _refill(self) -> None:
         chunk = self._make_chunk(self._chunk_index)
@@ -168,11 +171,13 @@ class GeneratorSource(EventSource):
             raise QueryBuildError("generator chunk produced no events")
         lo, hi = chunk.time_range()
         shift = self._offset - min(lo, 0.0)
-        for e in chunk.events:
-            self._pending.append(Event(e.start + shift, e.end + shift, e.payload))
+        # one column per field, or the scalar column (fields() is empty)
+        values = {f: chunk.values(f) for f in chunk.fields()} or chunk.values()
+        shifted = EventStream.from_arrays(chunk.starts() + shift, chunk.ends() + shift, values)
+        self._pending = _join([self._pending, shifted], self.name)
         self._offset = shift + hi
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
+    def poll(self, max_events: Optional[int] = None) -> EventStream:
         limit = self._events_per_poll if self._events_per_poll is not None else None
         if max_events is not None:
             limit = max_events if limit is None else min(limit, max_events)
@@ -180,18 +185,17 @@ class GeneratorSource(EventSource):
             # no rate configured: release exactly one chunk per poll
             if not self._pending:
                 self._refill()
-            out = list(self._pending)
-            self._pending.clear()
-            return out
+            limit = len(self._pending)
         while len(self._pending) < limit:
             self._refill()
-        return [self._pending.popleft() for _ in range(limit)]
+        out, self._pending = self._pending[:limit], self._pending[limit:]
+        return out
 
     @property
     def horizon(self) -> float:
         if not self._pending:
             self._refill()
-        return self._pending[0].start
+        return float(self._pending.starts()[0])
 
 
 class ThrottledSource(EventSource):
@@ -204,7 +208,7 @@ class ThrottledSource(EventSource):
         self.name = inner.name
         self._events_per_poll = int(events_per_poll)
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
+    def poll(self, max_events: Optional[int] = None) -> EventStream:
         limit = self._events_per_poll
         if max_events is not None:
             limit = min(limit, max_events)
@@ -242,14 +246,15 @@ class BoundedIngestQueue:
         if capacity < 1:
             raise QueryBuildError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._events: Deque[Event] = deque()
+        self._chunks: Deque[EventStream] = deque()
+        self._count = 0
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._closed = False
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._count
 
     @property
     def closed(self) -> bool:
@@ -259,8 +264,10 @@ class BoundedIngestQueue:
     def put(self, events: Sequence[Event], timeout: Optional[float] = None) -> int:
         """Append events, blocking while the queue is full.
 
-        Returns the number of events actually enqueued.  ``timeout`` is a
-        total deadline: if it expires before the whole batch fits, the
+        ``events`` is an :class:`EventStream`, kept as zero-copy chunks, or a
+        sequence of :class:`Event` objects, converted once.  Returns the
+        number of events actually enqueued.  ``timeout`` is a total
+        deadline: if it expires before the whole batch fits, the
         already-enqueued prefix stays enqueued and its length is returned —
         the caller retries ``events[n:]``.
 
@@ -270,7 +277,7 @@ class BoundedIngestQueue:
         (no deadlock), with ``exc.enqueued`` reporting the prefix that was
         accepted before the close and stays deliverable to the consumer.
         """
-        remaining = list(events)
+        remaining = EventStream(events, check_order=False)
         enqueued = 0
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_full:
@@ -282,10 +289,11 @@ class BoundedIngestQueue:
                         "before the close)",
                         enqueued=enqueued,
                     )
-                free = self.capacity - len(self._events)
+                free = self.capacity - self._count
                 if free > 0:
                     take, remaining = remaining[:free], remaining[free:]
-                    self._events.extend(take)
+                    self._chunks.append(take)
+                    self._count += len(take)
                     enqueued += len(take)
                     continue
                 wait = None if deadline is None else deadline - time.monotonic()
@@ -295,19 +303,27 @@ class BoundedIngestQueue:
                     break
         return enqueued
 
-    def drain(self, max_events: Optional[int] = None) -> List[Event]:
+    def drain(self, max_events: Optional[int] = None) -> EventStream:
         """Pop up to ``max_events`` events (all of them when None)."""
         with self._not_full:
-            count = len(self._events) if max_events is None else min(max_events, len(self._events))
-            out = [self._events.popleft() for _ in range(count)]
-            if count:
+            count = self._count if max_events is None else min(max_events, self._count)
+            self._count -= count
+            parts = []
+            while count:
+                head = self._chunks.popleft()
+                if len(head) > count:
+                    self._chunks.appendleft(head[count:])
+                    head = head[:count]
+                parts.append(head)
+                count -= len(head)
+            if parts:
                 self._not_full.notify_all()
-            return out
+            return _join(parts, "queue")
 
     def peek_start(self) -> Optional[float]:
         """Start time of the first queued event (None when empty)."""
         with self._lock:
-            return self._events[0].start if self._events else None
+            return float(self._chunks[0].starts()[0]) if self._chunks else None
 
     def close(self) -> None:
         """Reject further ``put`` calls and wake blocked producers."""
@@ -351,29 +367,29 @@ class QueuedSource(EventSource):
         blocked push holds the serialization lock — concurrent producers
         queue behind it and are all woken by :meth:`close`.)
         """
-        events = list(events)
+        events = EventStream(events, name=self.name, check_order=False)
+        starts = events.starts()
         with self._push_lock:
-            last = self._last_pushed_start
-            for e in events:
-                if e.start < last:
-                    raise QueryBuildError(
-                        f"source {self.name!r}: events must be pushed in start order"
-                    )
-                last = e.start
+            if len(starts) and (
+                starts[0] < self._last_pushed_start or (starts[1:] < starts[:-1]).any()
+            ):
+                raise QueryBuildError(
+                    f"source {self.name!r}: events must be pushed in start order"
+                )
             try:
                 # deliberate (see docstring): a blocked push parks concurrent
                 # producers on the serialization lock; close() wakes them all
                 n = self.queue.put(events, timeout=timeout)  # lint: allow(LNT101)
             except QueueClosedError as exc:
-                self._record_pushed(events, exc.enqueued)
+                self._record_pushed(starts, exc.enqueued)
                 raise
-            self._record_pushed(events, n)
+            self._record_pushed(starts, n)
             return n
 
-    def _record_pushed(self, events: Sequence[Event], n: int) -> None:
+    def _record_pushed(self, starts: Sequence[float], n: int) -> None:
         if n:
-            self._last_pushed_start = events[n - 1].start
-            self._watermark = max(self._watermark, events[n - 1].start)
+            self._last_pushed_start = float(starts[n - 1])
+            self._watermark = max(self._watermark, self._last_pushed_start)
 
     def advance_to(self, t: float) -> None:
         """Promise that no future event will start before ``t``."""
@@ -384,7 +400,7 @@ class QueuedSource(EventSource):
         self._closed = True
         self.queue.close()
 
-    def poll(self, max_events: Optional[int] = None) -> List[Event]:
+    def poll(self, max_events: Optional[int] = None) -> EventStream:
         return self.queue.drain(max_events)
 
     @property

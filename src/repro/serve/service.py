@@ -47,7 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.runtime.engine import QueryResult, TiltEngine
 from ..core.runtime.session import StreamingSession, TickResult
-from ..core.runtime.stream import Event
+from ..core.runtime.stream import Event, EventStream
 from ..datagen.sources import QueuedSource
 from ..errors import ExecutionError, QueryBuildError
 from ..metrics.fleet import FleetSnapshot, aggregate_fleet
@@ -696,13 +696,16 @@ class QueryService:
     ) -> int:
         """Push events to a push-fed tenant; returns the number accepted.
 
+        ``events`` is an :class:`EventStream` or a sequence of
+        :class:`Event` objects, which is converted to columns once here.
+
         Overload behaviour follows the service's admission policy: under
         ``"shed"`` the overflow is dropped and counted; under ``"block"``
         this call blocks (without holding any service lock) until the
         scheduler drains the tenant's queue or the timeout expires.
         """
-        events = list(events)
         source = self._push_source(name, stream)
+        events = EventStream(events, name=source.name, check_order=False)
         # blocking push must happen outside the lock: the scheduler needs
         # the lock to select the tick that will drain this very queue
         accepted, shed = self._admission.offer(source, events, timeout=timeout)

@@ -1,6 +1,5 @@
 """Shared infrastructure of the baseline (event-centric) engines."""
 
-from .batches import ColumnarBatch, batches_from_stream, stream_from_batches
 from .expreval import eval_event_expr
 from .operators import (
     ChopOperator,
@@ -14,9 +13,6 @@ from .operators import (
 )
 
 __all__ = [
-    "ColumnarBatch",
-    "batches_from_stream",
-    "stream_from_batches",
     "eval_event_expr",
     "StatefulOperator",
     "SelectOperator",

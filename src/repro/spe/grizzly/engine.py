@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ...core.frontend.query import (
     WindowAggregate,
 )
 from ...core.runtime.executor import make_executor
-from ...core.runtime.stream import Event, EventStream
+from ...core.runtime.stream import EventStream, interleave
 from ...errors import ExecutionError, UnsupportedOperationError
 from ...windowing.functions import AggregateFunction
 from ..common.vectoreval import eval_expr_vectorized
@@ -48,29 +48,12 @@ PAYLOAD_VAR = "%payload"
 _CHUNK = 512
 
 
-class _Columns:
-    """Internal columnar representation used between operators."""
+def _columns(starts: np.ndarray, ends: np.ndarray, values: np.ndarray) -> EventStream:
+    """An operator's output rows as a scalar column stream."""
+    return EventStream._from_columns(starts, ends, values, "output")
 
-    def __init__(self, starts: np.ndarray, ends: np.ndarray, values: np.ndarray):
-        self.starts = starts
-        self.ends = ends
-        self.values = values
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @classmethod
-    def from_stream(cls, stream: EventStream) -> "_Columns":
-        return cls(stream.starts(), stream.ends(), stream.values())
-
-    def select(self, mask: np.ndarray) -> "_Columns":
-        return _Columns(self.starts[mask], self.ends[mask], self.values[mask])
-
-    def to_events(self) -> List[Event]:
-        return [
-            Event(float(s), float(e), float(v))
-            for s, e, v in zip(self.starts, self.ends, self.values)
-        ]
+_EMPTY = _columns(np.empty(0), np.empty(0), np.empty(0))
 
 
 class GrizzlyEngine:
@@ -85,38 +68,34 @@ class GrizzlyEngine:
     # ------------------------------------------------------------------ #
     def run(self, query: QueryNode, streams: Mapping[str, EventStream]) -> EventStream:
         """Execute a Select/Where/Window-aggregate query."""
-        events = self._execute(query, streams)
-        return EventStream(sorted(events, key=lambda e: (e.start, e.end)),
-                          name="output", check_order=False)
+        # a stable (start, end) lexsort of the output columns
+        return interleave([self._columns_for(query, streams)], name="output")
 
     # ------------------------------------------------------------------ #
-    def _execute(self, node: QueryNode, streams: Mapping[str, EventStream]) -> List[Event]:
-        columns = self._columns_for(node, streams)
-        return columns.to_events()
-
-    def _columns_for(self, node: QueryNode, streams: Mapping[str, EventStream]) -> _Columns:
+    def _columns_for(self, node: QueryNode, streams: Mapping[str, EventStream]) -> EventStream:
         if isinstance(node, StreamSource):
             stream = streams.get(node.stream)
             if stream is None:
                 raise ExecutionError(f"missing input stream {node.stream!r}")
             if node.field is not None:
                 stream = stream.select_field(node.field)
-            return _Columns.from_stream(stream)
+            return _columns(stream.starts(), stream.ends(), stream.values())
         if isinstance(node, Select):
             cols = self._columns_for(node.parents[0], streams)
             n = len(cols)
             values, valid = eval_expr_vectorized(
-                node.expr, {PAYLOAD_VAR: (cols.values, np.ones(n, dtype=bool))}, n
+                node.expr, {PAYLOAD_VAR: (cols.values(), np.ones(n, dtype=bool))}, n
             )
-            cols = _Columns(cols.starts, cols.ends, np.asarray(values, dtype=np.float64))
-            return cols.select(valid)
+            values = np.asarray(values, dtype=np.float64)
+            return _columns(cols.starts()[valid], cols.ends()[valid], values[valid])
         if isinstance(node, Where):
             cols = self._columns_for(node.parents[0], streams)
             n = len(cols)
             keep, valid = eval_expr_vectorized(
-                node.predicate, {PAYLOAD_VAR: (cols.values, np.ones(n, dtype=bool))}, n
+                node.predicate, {PAYLOAD_VAR: (cols.values(), np.ones(n, dtype=bool))}, n
             )
-            return cols.select(valid & (keep != 0))
+            keep = valid & (keep != 0)
+            return _columns(cols.starts()[keep], cols.ends()[keep], cols.values()[keep])
         if isinstance(node, WindowAggregate):
             cols = self._columns_for(node.parents[0], streams)
             return self._window_aggregate(cols, node)
@@ -129,33 +108,32 @@ class GrizzlyEngine:
     # ------------------------------------------------------------------ #
     # shared-state parallel window aggregation
     # ------------------------------------------------------------------ #
-    def _window_aggregate(self, cols: _Columns, node: WindowAggregate) -> _Columns:
+    def _window_aggregate(self, cols: EventStream, node: WindowAggregate) -> EventStream:
         if len(cols) == 0:
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return _EMPTY
         agg = node.agg
         size, stride = node.size, node.stride
-        values = cols.values
+        starts, ends, values = cols.starts(), cols.ends(), cols.values()
         if node.element is not None:
             n = len(cols)
             values, valid = eval_expr_vectorized(
                 node.element, {PAYLOAD_VAR: (values, np.ones(n, dtype=bool))}, n
             )
-            cols = _Columns(cols.starts[valid], cols.ends[valid], values[valid])
-            values = cols.values
+            starts, ends, values = starts[valid], ends[valid], values[valid]
 
         shared_state: Dict[int, Tuple] = {}
         lock = threading.Lock()
 
         # split events across workers; each worker synchronizes on the shared
         # state once per mini-chunk (the "atomic updates" cost).
-        slices = np.array_split(np.arange(len(cols)), self.workers)
+        slices = np.array_split(np.arange(len(starts)), self.workers)
         executor = make_executor(self.workers)
 
         def work(index_slice: np.ndarray) -> None:
             for lo in range(0, len(index_slice), _CHUNK):
                 idx = index_slice[lo : lo + _CHUNK]
                 partials = self._chunk_partials(
-                    cols.starts[idx], cols.ends[idx], values[idx], size, stride, agg
+                    starts[idx], ends[idx], values[idx], size, stride, agg
                 )
                 with lock:
                     for widx, state in partials.items():
@@ -171,14 +149,13 @@ class GrizzlyEngine:
             executor.shutdown()
 
         if not shared_state:
-            return _Columns(np.empty(0), np.empty(0), np.empty(0))
+            return _EMPTY
         windows = np.array(sorted(shared_state.keys()), dtype=np.int64)
         results = np.array(
             [self._finalize_state(agg, shared_state[w]) for w in windows], dtype=np.float64
         )
         ends = windows.astype(np.float64) * stride
-        starts = ends - stride
-        return _Columns(starts, ends, results)
+        return _columns(ends - stride, ends, results)
 
     @staticmethod
     def _chunk_partials(

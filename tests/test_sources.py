@@ -34,7 +34,7 @@ class TestStreamReplaySource:
             assert len(chunk) <= 3
             seen.extend(chunk)
         assert [e.start for e in seen] == [float(i) for i in range(10)]
-        assert src.poll() == []
+        assert len(src.poll()) == 0
 
     def test_horizon_is_next_undelivered_start(self):
         src = StreamReplaySource(sample_stream(4), events_per_poll=2)
@@ -277,3 +277,49 @@ class TestSourcesForStreams:
         sources = sources_for_streams(streams, events_per_poll=2)
         assert sorted(s.name for s in sources) == ["a", "b"]
         assert all(isinstance(s, StreamReplaySource) for s in sources)
+
+
+class TestColumnarPath:
+    def test_no_event_objects_between_generator_and_kernel(self, monkeypatch):
+        """Generators, sources, queues and session ingest pass columns only:
+        with ``Event`` construction made to fail, sessions fed by every
+        source kind still run and match the one-shot result."""
+        from repro.apps import get_application
+        from repro.core.runtime.engine import TiltEngine
+        from repro.datagen import ysb_stream
+
+        def no_events(self):
+            raise AssertionError("an Event was built on the columnar path")
+
+        monkeypatch.setattr(Event, "__post_init__", no_events)
+        program = get_application("ysb").program()
+        engine = TiltEngine(workers=1)
+        stream = ysb_stream(3_000, seed=3, events_per_second=100.0)
+        batch = engine.run(program, {"ads": stream}).output
+
+        generated = GeneratorSource(
+            lambda i: ysb_stream(1_000, seed=i, events_per_second=100.0),
+            name="ads",
+            events_per_poll=700,
+        )
+        session = engine.open_session(program, [generated])
+        for _ in range(6):
+            session.tick()
+        assert session.result().output.num_valid() > 0
+        session.close(drain=False)
+
+        replay = StreamReplaySource(stream, events_per_poll=500)
+        session = engine.open_session(program, [replay])
+        session.run_to_exhaustion()
+        assert session.result().output == batch
+
+        queued = QueuedSource("ads", capacity=1_024)
+        session = engine.open_session(program, [queued])
+        for lo in range(0, len(stream), 1_000):
+            assert queued.push(stream[lo : lo + 1_000]) == 1_000
+            session.tick()
+        queued.close()
+        session.close()
+        assert session.result().output == batch
+        assert batch.num_valid() > 0
+        engine.close()

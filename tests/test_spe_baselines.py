@@ -9,7 +9,6 @@ from repro.core.runtime.ssbuf import ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
 from repro.errors import UnsupportedOperationError
 from repro.spe import GrizzlyEngine, LightSaberEngine, StreamBoxEngine, TrillEngine
-from repro.spe.common.batches import ColumnarBatch, batches_from_stream, stream_from_batches
 from repro.spe.common.expreval import eval_event_expr
 from repro.spe.common.operators import (
     ChopOperator,
@@ -30,24 +29,6 @@ E = PAYLOAD
 # ---------------------------------------------------------------------- #
 # shared infrastructure
 # ---------------------------------------------------------------------- #
-class TestBatches:
-    def test_round_trip(self, regular_stream):
-        batches = batches_from_stream(regular_stream, 32)
-        assert len(batches) == 4
-        assert sum(len(b) for b in batches) == 100
-        back = stream_from_batches(batches)
-        assert len(back) == 100
-        assert back[0].value() == regular_stream[0].value()
-
-    def test_empty_batch(self):
-        batch = ColumnarBatch.empty()
-        assert len(batch) == 0 and batch.to_events() == []
-
-    def test_invalid_batch_size(self, regular_stream):
-        with pytest.raises(ValueError):
-            batches_from_stream(regular_stream, 0)
-
-
 class TestExpressionEvaluation:
     def test_event_expr(self):
         value, ok = eval_event_expr(Var("%payload") * 2.0 + 1.0, {"%payload": (5.0, True)})
