@@ -278,24 +278,22 @@ class SSBuf:
         that starts at or after ``t`` — retained tails produce byte-identical
         partitions to the full stream.  A snapshot spanning ``end`` is
         clipped to ``end`` (keeping its value), so a slice always covers its
-        whole interval.
+        whole interval.  The slice's ``values``, ``valid`` and (unless
+        clipped) ``times`` are views of this buffer's arrays.
         """
         if end <= start:
             return SSBuf.empty(start)
         start = max(start, self.start_time)
-        if not len(self.times) or start >= self.times[-1]:
+        if not len(self.times) or start >= self.times[-1] or start > end:
             return SSBuf.empty(start)
         lo = int(np.searchsorted(self.times, start, side="right"))
         hi = int(np.searchsorted(self.times, end, side="right"))
-        times = list(self.times[lo:hi])
-        values = list(self.values[lo:hi])
-        valid = list(self.valid[lo:hi])
-        if hi < len(self.times) and (not times or times[-1] < end):
+        times = self.times[lo:hi]
+        if hi < len(self.times) and (hi == lo or times[-1] < end):
             # the snapshot at index `hi` spans past `end`; clip it.
-            times.append(end)
-            values.append(float(self.values[hi]))
-            valid.append(bool(self.valid[hi]))
-        return SSBuf(times, values, valid, start_time=start)
+            times = np.append(times, end)
+            hi += 1
+        return SSBuf(times, self.values[lo:hi], self.valid[lo:hi], start_time=start)
 
     def shift(self, dt: float) -> "SSBuf":
         """Shift the buffer forward in time by ``dt`` seconds.
@@ -344,20 +342,6 @@ class SSBuf:
     # ------------------------------------------------------------------ #
     # combination helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def merged_change_times(bufs: Sequence["SSBuf"], start: float, end: float) -> np.ndarray:
-        """Union of the change timestamps of several buffers inside ``(start, end]``.
-
-        This is the grid on which a fused temporal expression must be
-        evaluated: the output can only change when one of its inputs changes
-        (the invariant exploited by loop synthesis in Section 6.1.3).
-        """
-        pieces = [b.change_times_in(start, end) for b in bufs]
-        pieces = [p for p in pieces if len(p)]
-        if not pieces:
-            return np.empty(0)
-        return np.unique(np.concatenate(pieces))
-
     @staticmethod
     def concat(parts: Sequence["SSBuf"]) -> "SSBuf":
         """Concatenate partition results back into one buffer (in time order)."""

@@ -18,6 +18,7 @@ from repro.core.codegen import (
     evaluate_program,
     evaluate_temporal_expr,
     evaluation_times,
+    evaluation_times_for_accesses,
     generate_kernel_spec,
     snap_to_precision,
 )
@@ -37,7 +38,7 @@ from repro.core.ir import (
     Var,
     when,
 )
-from repro.core.lineage import resolve_boundaries
+from repro.core.lineage import AccessPattern, resolve_boundaries
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
 from repro.errors import ExecutionError
@@ -127,6 +128,102 @@ class TestEvaluationGrid:
     def test_empty_range(self, simple_buf):
         expr = TIndex("simple", 0.0)
         assert len(evaluation_times(expr, {"simple": simple_buf}, TDom(), 10.0, 10.0)) == 0
+
+    def test_zero_from_below_snaps_to_positive_zero(self):
+        # the only candidate that snaps to zero is -5 in (-p, 0); a plain
+        # ceil-and-multiply snap yields -0.0 there
+        buf = SSBuf([-5.0, 15.0], [1.0, 2.0], start_time=-30.0)
+        times = evaluation_times(TIndex("x", 0.0), {"x": buf}, TDom(precision=10.0), -20.0, 15.0)
+        assert times.tolist() == [-10.0, 0.0, 10.0, 15.0]
+        assert not np.signbit(times[1])
+
+
+# ---------------------------------------------------------------------- #
+# evaluation grid against the unique-of-concatenation reference
+# ---------------------------------------------------------------------- #
+def _reference_snap(times, precision):
+    if precision <= 0 or len(times) == 0:
+        return times
+    snapped = np.ceil(times / precision - 1e-9) * precision
+    return snapped
+
+
+def _reference_evaluation_times(accesses, env, tdom, t_start, t_end):
+    """Reference grid: ``np.unique`` over the concatenated candidates."""
+    if t_end <= t_start:
+        return np.empty(0)
+    candidates = [np.array([t_end])]
+    for ref, pattern in accesses.items():
+        buf = env.get(ref)
+        if buf is None or len(buf) == 0:
+            continue
+        for offset in pattern.boundary_offsets():
+            # input changes at time c make the output change at c - offset;
+            # the buffer's start_time is an implicit change point (φ → first
+            # value), so it is included as well.
+            changes = buf.change_times_in(t_start + offset, t_end + offset)
+            pieces = [changes - offset] if len(changes) else []
+            if t_start + offset < buf.start_time <= t_end + offset:
+                pieces.append(np.array([buf.start_time - offset]))
+            candidates.extend(pieces)
+    times = np.unique(np.concatenate(candidates))
+    times = _reference_snap(times, tdom.precision)
+    if tdom.precision > 0:
+        # the value *before* a change must also be materialized on the grid:
+        # if the output changes at grid point g, the old value's last holding
+        # point g - precision needs an explicit snapshot.
+        times = np.concatenate([times, times - tdom.precision])
+    times = np.unique(times)
+    mask = (times > t_start + 1e-12) & (times <= t_end + 1e-12)
+    times = times[mask]
+    if len(times) == 0 or times[-1] < t_end:
+        times = np.append(times, t_end)
+    return times
+
+
+_grid_times = st.one_of(
+    st.integers(min_value=-40, max_value=40).map(lambda k: k * 0.25),
+    st.floats(min_value=-12.0, max_value=12.0, allow_nan=False),
+)
+_grid_offsets = st.sampled_from([-10.0, -2.5, -1.0, -0.3, 0.0, 0.001, 1.0, 4.0])
+
+
+@st.composite
+def grid_cases(draw):
+    """Buffers with gaps and early ``start_time``s, point and window
+    accesses, every precision, and negative, empty or one-point ranges."""
+    env, accesses = {}, {}
+    for ref in ("a", "b")[: draw(st.integers(1, 2))]:
+        times = sorted(set(draw(st.lists(_grid_times, max_size=30))))
+        valid = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+        lead = draw(st.sampled_from([0.0, 0.25, 5.0]))
+        start = (times[0] if times else 0.0) - lead
+        env[ref] = SSBuf(times, np.arange(len(times), dtype=float), valid, start_time=start)
+        points = draw(st.sets(_grid_offsets, max_size=2))
+        windows = draw(st.sets(st.tuples(_grid_offsets, _grid_offsets), max_size=2))
+        accesses[ref] = AccessPattern(points, {(min(w), max(w)) for w in windows})
+    precision = draw(st.sampled_from([0.0, 1e-3, 0.01, 1.0, 10.0]))
+    t_start = draw(_grid_times)
+    width = draw(
+        st.one_of(
+            st.sampled_from([0.0, -1.0, 1e-3, 0.01, 1.0, 10.0, precision]),
+            st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
+        )
+    )
+    return accesses, env, TDom(precision=precision), t_start, t_start + width
+
+
+def _positive_zero(times):
+    return np.asarray(times) + 0.0
+
+
+@given(grid_cases())
+@settings(max_examples=400, deadline=None)
+def test_property_grid_matches_unique_reference(case):
+    accesses, env, tdom, t_start, t_end = case
+    got = _positive_zero(evaluation_times_for_accesses(accesses, env, tdom, t_start, t_end))
+    want = _positive_zero(_reference_evaluation_times(accesses, env, tdom, t_start, t_end))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------- #

@@ -267,7 +267,8 @@ class TestChromeTrace:
 class TestInstrumentation:
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_span_trees_per_tick_across_backends(self, kind):
-        with TiltEngine(workers=2, executor_kind=kind, trace=True) as engine:
+        # non-incremental: incremental ticks bypass executor dispatch
+        with TiltEngine(workers=2, executor_kind=kind, trace=True, incremental=False) as engine:
             run_traced_session(engine)
             records = engine.tracer.drain()
             trees = build_span_trees(records)
@@ -344,7 +345,11 @@ class TestInstrumentation:
             assert hits >= 1  # every tick after the first reuses state
 
     def test_registry_sees_engine_and_session_counters(self):
-        with TiltEngine(workers=1, trace=True) as engine:
+        # the kernel-seconds series below is labelled by the dispatching
+        # backend, so pin the serial, non-incremental path
+        with TiltEngine(
+            workers=1, trace=True, executor_kind="serial", incremental=False
+        ) as engine:
             program = get_application("trading").program()
             engine.compile_cached(program)
             engine.compile_cached(program)  # same object: a cache hit

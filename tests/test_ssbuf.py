@@ -142,12 +142,6 @@ class TestTransformations:
 
 
 class TestCombination:
-    def test_merged_change_times(self, simple_buf):
-        other = SSBuf([12.0, 40.0], [1.0, 2.0], [True, True], 0.0)
-        merged = SSBuf.merged_change_times([simple_buf, other], 0.0, 50.0)
-        assert 12.0 in merged and 16.0 in merged and 40.0 in merged
-        assert list(merged) == sorted(set(merged))
-
     def test_concat_ordered_pieces(self, regular_buf):
         a = regular_buf.slice(0.0, 40.0)
         b = regular_buf.slice(40.0, 100.0)
@@ -234,3 +228,86 @@ def test_property_slice_preserves_values(events, width, offset):
     fv, fk = buf.values_at(grid)
     assert np.array_equal(sk, fk)
     assert np.allclose(sv[sk], fv[fk])
+
+
+# ---------------------------------------------------------------------- #
+# slicing: views of the parent against a list-based reference
+# ---------------------------------------------------------------------- #
+def _reference_slice(buf, start, end):
+    """List-based slice body kept as the reference for ``SSBuf.slice``."""
+    if end <= start:
+        return SSBuf.empty(start)
+    start = max(start, buf.start_time)
+    if not len(buf.times) or start >= buf.times[-1]:
+        return SSBuf.empty(start)
+    lo = int(np.searchsorted(buf.times, start, side="right"))
+    hi = int(np.searchsorted(buf.times, end, side="right"))
+    times = list(buf.times[lo:hi])
+    values = list(buf.values[lo:hi])
+    valid = list(buf.valid[lo:hi])
+    if hi < len(buf.times) and (not times or times[-1] < end):
+        times.append(end)
+        values.append(float(buf.values[hi]))
+        valid.append(bool(buf.valid[hi]))
+    return SSBuf(times, values, valid, start_time=start)
+
+
+def _assert_same_bytes(a, b):
+    assert a.start_time == b.start_time
+    for attr in ("times", "values", "valid"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+
+# slice bounds and snapshot times share a coarse lattice so that bounds hit
+# snapshot times exactly, plus arbitrary floats in between
+_lattice_times = st.one_of(
+    st.integers(min_value=-20, max_value=80).map(lambda k: k * 0.5),
+    st.floats(min_value=-10.0, max_value=40.0, allow_nan=False),
+)
+
+
+@st.composite
+def snapshot_buffers(draw):
+    """Buffers with φ gaps and a ``start_time`` before the first snapshot."""
+    times = sorted(set(draw(st.lists(_lattice_times, max_size=25))))
+    n = len(times)
+    values = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lead = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    start = (times[0] if n else 0.0) - lead
+    return SSBuf(times, values, valid, start_time=start)
+
+
+@given(snapshot_buffers(), _lattice_times, _lattice_times)
+@settings(max_examples=300, deadline=None)
+def test_property_slice_matches_list_reference(buf, a, b):
+    """Every slice, including empty ones, the clip and a start before
+    ``start_time``, equals the list-based body byte for byte."""
+    for start, end in ((a, b), (b, a), (buf.start_time - 1.0, a), (a, a)):
+        try:
+            expected = _reference_slice(buf, start, end)
+        except QueryBuildError:
+            # the list body built an invalid buffer when ``end`` lies before
+            # ``start_time``; nothing of the buffer is inside such a range
+            assert start < end < buf.start_time
+            expected = SSBuf.empty(buf.start_time)
+        _assert_same_bytes(buf.slice(start, end), expected)
+
+
+@given(snapshot_buffers(), _lattice_times, _lattice_times, _lattice_times)
+@settings(max_examples=200, deadline=None)
+def test_property_slice_stable_under_pruning(buf, t, a, b):
+    """``buf.slice(t, end_time).slice(a, b) == buf.slice(a, b)`` for ``t <= a``."""
+    t, a = min(t, a), max(t, a)
+    _assert_same_bytes(buf.slice(t, buf.end_time).slice(a, b), buf.slice(a, b))
+
+
+def test_slice_shares_memory_with_parent(regular_buf):
+    inner = regular_buf.slice(10.0, 40.0)
+    clipped = regular_buf.slice(10.0, 40.5)
+    for s in (inner, clipped):
+        assert len(s) and np.shares_memory(s.values, regular_buf.values)
+        assert np.shares_memory(s.valid, regular_buf.valid)
+    assert np.shares_memory(inner.times, regular_buf.times)
+    assert clipped.end_time == 40.5
