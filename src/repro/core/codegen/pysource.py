@@ -11,7 +11,12 @@ loop of Figure 3d:
 * every point access and every reduction becomes one vectorized runtime call
   producing a ``(values, valid)`` array pair;
 * the scalar expression tree is emitted as straight-line NumPy code over
-  those arrays, with an explicit validity mask implementing φ-propagation;
+  those arrays, with an explicit validity mask implementing φ-propagation.
+  Like the paper's fused loop keeping intermediates in registers, it
+  allocates only the arrays that carry information: constants and φ are
+  ``np.float64`` scalars, widened to arrays only where an operator needs
+  one for bit-identity or shape, and masks known to be all-valid or all-φ
+  are folded away at generation time instead of being materialized;
 * the kernel is parameterized by the symbolic boundaries ``(t_start, t_end]``
   so the same compiled artifact runs on any partition.
 
@@ -28,7 +33,7 @@ import hashlib
 import pickle
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ...errors import CompilationError
 from ...windowing.functions import AggregateFunction
@@ -189,13 +194,56 @@ class _Emitter:
         return "\n".join(self.lines) if self.lines else self.indent + "pass"
 
 
+class _Lowered(NamedTuple):
+    """One compiled subexpression.
+
+    ``value`` names an ``np.float64`` scalar when ``scalar`` is set and an
+    n-length float64 array otherwise.  ``mask`` is ``"True"``/``"False"``
+    when the validity is statically all-valid/all-φ, else the name of an
+    n-length bool array.
+    """
+
+    value: str
+    mask: str
+    scalar: bool
+
+
+_ALL_VALID = "True"
+_ALL_PHI = "False"
+
+#: operators evaluated on arrays even over scalar operands: the ``/``
+#: template writes into ``zeros_like`` of its left operand, and the ``%``
+#: and ``**`` ufuncs may take another code path for scalars than for arrays
+_ARRAY_BINOPS = frozenset({"/", "%", "**"})
+
+
+def _and(a: str, b: str) -> str:
+    """Conjunction of two masks, folded when either is statically known."""
+    if _ALL_PHI in (a, b):
+        return _ALL_PHI
+    if a == _ALL_VALID:
+        return b
+    if b == _ALL_VALID:
+        return a
+    return f"{a} & {b}"
+
+
 class _ExprCompiler:
-    """Compile a scalar expression tree into straight-line NumPy statements."""
+    """Compile a scalar expression tree into straight-line NumPy statements.
+
+    Constants stay ``np.float64`` scalars and broadcast into the array
+    operations that consume them; a scalar is widened with ``_np.full``
+    only where an operator needs an array (:data:`_ARRAY_BINOPS`, every
+    unary operator and call).  Validity masks that are statically
+    all-valid or all-φ are folded through ``&``, ``|``, conditionals and
+    ``IsValid`` instead of being materialized.  Both keep the results
+    bit-identical to evaluating every node as a full array.
+    """
 
     def __init__(
         self,
         emitter: _Emitter,
-        scope: Dict[str, Tuple[str, str]],
+        scope: Dict[str, _Lowered],
         kernel: "_KernelBuilder",
         allow_temporal: bool,
     ):
@@ -205,17 +253,15 @@ class _ExprCompiler:
         self.allow_temporal = allow_temporal
 
     # ------------------------------------------------------------------ #
-    def compile(self, expr: Expr) -> Tuple[str, str]:
+    def compile(self, expr: Expr) -> _Lowered:
         if isinstance(expr, Const):
-            v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = _np.full(_n, {expr.value!r})")
-            self.emitter.emit(f"{k} = _TRUE")
-            return v, k
+            v, _ = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.float64({expr.value!r})")
+            return _Lowered(v, _ALL_VALID, True)
         if isinstance(expr, Phi):
-            v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = _np.zeros(_n)")
-            self.emitter.emit(f"{k} = _FALSE")
-            return v, k
+            v, _ = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.float64(0.0)")
+            return _Lowered(v, _ALL_PHI, True)
         if isinstance(expr, Var):
             if expr.name not in self.scope:
                 raise CompilationError(f"unbound variable {expr.name!r} during code generation")
@@ -227,7 +273,7 @@ class _ExprCompiler:
             offset = 0.0 if isinstance(expr, TRef) else expr.offset
             v, k = self.emitter.fresh()
             self.emitter.emit(f"{v}, {k} = rt.point(env, {ref!r}, {offset!r}, _ts)")
-            return v, k
+            return _Lowered(v, k, False)
         if isinstance(expr, Reduce):
             if not self.allow_temporal:
                 raise CompilationError("nested reduction inside a reduce element expression")
@@ -235,59 +281,91 @@ class _ExprCompiler:
         if isinstance(expr, TWindow):
             raise CompilationError("windowed temporal object used outside a reduction")
         if isinstance(expr, BinOp):
-            lv, lk = self.compile(expr.lhs)
-            rv, rk = self.compile(expr.rhs)
+            lhs = self.compile(expr.lhs)
+            rhs = self.compile(expr.rhs)
+            if expr.op in _ARRAY_BINOPS:
+                lhs, rhs = self._array(lhs), self._array(rhs)
             v, k = self.emitter.fresh()
-            template = NUMPY_BINOPS[expr.op]
-            self.emitter.emit(f"{v} = " + template.format(a=lv, b=rv))
-            mask = f"{lk} & {rk}"
+            self.emitter.emit(f"{v} = " + NUMPY_BINOPS[expr.op].format(a=lhs.value, b=rhs.value))
+            mask = _and(lhs.mask, rhs.mask)
             domain = NUMPY_BINOP_DOMAIN.get(expr.op)
             if domain is not None:
-                mask = f"({mask}) & " + domain.format(a=lv, b=rv)
-            self.emitter.emit(f"{k} = {mask}")
-            return v, k
+                mask = _and(mask, domain.format(a=lhs.value, b=rhs.value))
+            return self._result(v, k, mask, lhs.scalar and rhs.scalar)
         if isinstance(expr, UnaryOp):
-            ov, ok = self.compile(expr.operand)
+            operand = self._array(self.compile(expr.operand))
             v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = " + NUMPY_UNOPS[expr.op].format(a=ov))
-            mask = ok
+            self.emitter.emit(f"{v} = " + NUMPY_UNOPS[expr.op].format(a=operand.value))
+            mask = operand.mask
             domain = NUMPY_UNOP_DOMAIN.get(expr.op)
             if domain is not None:
-                mask = f"({ok}) & " + domain.format(a=ov)
-            self.emitter.emit(f"{k} = {mask}")
-            return v, k
+                mask = _and(mask, domain.format(a=operand.value))
+            return self._result(v, k, mask, False)
         if isinstance(expr, IfThenElse):
-            cv, ck = self.compile(expr.cond)
-            tv, tk = self.compile(expr.then)
-            ev, ek = self.compile(expr.orelse)
+            cond = self.compile(expr.cond)
+            then = self.compile(expr.then)
+            orelse = self.compile(expr.orelse)
+            if then.mask != orelse.mask:
+                # the mask is picked lane by lane: that needs an array test
+                cond = self._array(cond)
+            if cond.scalar:
+                test = f"{cond.value} != 0"
+            else:
+                # one comparison serves both the value and the mask
+                test, _ = self.emitter.fresh()
+                self.emitter.emit(f"{test} = {cond.value} != 0")
             v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = _np.where({cv} != 0, {tv}, {ev})")
-            self.emitter.emit(f"{k} = {ck} & _np.where({cv} != 0, {tk}, {ek})")
-            return v, k
+            scalar = cond.scalar and then.scalar and orelse.scalar
+            if scalar:
+                self.emitter.emit(f"{v} = {then.value} if {test} else {orelse.value}")
+            else:
+                self.emitter.emit(f"{v} = _np.where({test}, {then.value}, {orelse.value})")
+            if then.mask == orelse.mask:
+                picked = then.mask
+            elif (then.mask, orelse.mask) == (_ALL_VALID, _ALL_PHI):
+                picked = test
+            elif (then.mask, orelse.mask) == (_ALL_PHI, _ALL_VALID):
+                picked = f"~{test}"
+            else:
+                picked = f"_np.where({test}, {then.mask}, {orelse.mask})"
+            return self._result(v, k, _and(cond.mask, picked), scalar)
         if isinstance(expr, IsValid):
-            _, ok = self.compile(expr.operand)
-            v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = ({ok}).astype(_np.float64)")
-            self.emitter.emit(f"{k} = _TRUE")
-            return v, k
+            operand = self.compile(expr.operand)
+            v, _ = self.emitter.fresh()
+            if operand.mask in (_ALL_VALID, _ALL_PHI):
+                flag = 1.0 if operand.mask == _ALL_VALID else 0.0
+                self.emitter.emit(f"{v} = _np.float64({flag!r})")
+                return _Lowered(v, _ALL_VALID, True)
+            self.emitter.emit(f"{v} = ({operand.mask}).astype(_np.float64)")
+            return _Lowered(v, _ALL_VALID, False)
         if isinstance(expr, Coalesce):
-            ov, ok = self.compile(expr.operand)
-            dv, dk = self.compile(expr.default)
+            operand = self.compile(expr.operand)
+            default = self.compile(expr.default)
+            if operand.mask == _ALL_VALID:
+                return operand
+            if operand.mask == _ALL_PHI:
+                return default
             v, k = self.emitter.fresh()
-            self.emitter.emit(f"{v} = _np.where({ok}, {ov}, {dv})")
-            self.emitter.emit(f"{k} = {ok} | {dk}")
-            return v, k
+            self.emitter.emit(f"{v} = _np.where({operand.mask}, {operand.value}, {default.value})")
+            if default.mask == _ALL_VALID:
+                mask = _ALL_VALID
+            elif default.mask == _ALL_PHI:
+                mask = operand.mask
+            else:
+                mask = f"{operand.mask} | {default.mask}"
+            return self._result(v, k, mask, False)
         if isinstance(expr, Call):
-            arg_pairs = [self.compile(a) for a in expr.args]
+            args = [self._array(self.compile(a)) for a in expr.args]
             v, k = self.emitter.fresh()
-            arg_vals = [p[0] for p in arg_pairs]
+            arg_vals = [a.value for a in args]
             self.emitter.emit(f"{v} = " + NUMPY_CALLS[expr.func].format(*arg_vals))
-            mask = " & ".join(p[1] for p in arg_pairs) or "_TRUE"
+            mask = _ALL_VALID
+            for arg in args:
+                mask = _and(mask, arg.mask)
             domain = NUMPY_CALL_DOMAIN.get(expr.func)
             if domain is not None:
-                mask = f"({mask}) & " + domain.format(*arg_vals)
-            self.emitter.emit(f"{k} = {mask}")
-            return v, k
+                mask = _and(mask, domain.format(*arg_vals))
+            return self._result(v, k, mask, False)
         if isinstance(expr, Let):
             saved = dict(self.scope)
             for name, value in expr.bindings:
@@ -298,7 +376,22 @@ class _ExprCompiler:
         raise CompilationError(f"cannot generate code for node type {type(expr).__name__}")
 
     # ------------------------------------------------------------------ #
-    def _compile_reduce(self, expr: Reduce) -> Tuple[str, str]:
+    def _array(self, lowered: _Lowered) -> _Lowered:
+        """``lowered`` with its value as an n-length array."""
+        if not lowered.scalar:
+            return lowered
+        v, _ = self.emitter.fresh()
+        self.emitter.emit(f"{v} = _np.full(_n, {lowered.value})")
+        return _Lowered(v, lowered.mask, False)
+
+    def _result(self, v: str, k: str, mask: str, scalar: bool) -> _Lowered:
+        """Bind a mask expression to ``k``; a known mask or a name is kept."""
+        if not mask.isidentifier():
+            self.emitter.emit(f"{k} = {mask}")
+            mask = k
+        return _Lowered(v, mask, scalar)
+
+    def _compile_reduce(self, expr: Reduce) -> _Lowered:
         agg_idx = self.kernel.register_aggregate(expr.agg)
         elem_idx = self.kernel.register_element(expr.element) if expr.element is not None else -1
         window = expr.window
@@ -310,7 +403,7 @@ class _ExprCompiler:
             f"{v}, {k} = rt.reduce(env, {window.ref!r}, {window.start_offset!r}, "
             f"{window.end_offset!r}, {agg_idx}, {elem_idx}, _ts, _cache)"
         )
-        return v, k
+        return _Lowered(v, k, False)
 
 
 class _KernelBuilder:
@@ -335,31 +428,35 @@ class _KernelBuilder:
         return len(self.element_sources) - 1
 
     def _generate_element_source(self, element: Expr) -> str:
+        """Source of one element map: ``(values, valid)`` over the snapshot
+        values ``elem``, where ``valid`` is a bool array or, when statically
+        known, the literal ``True``/``False``."""
         emitter = _Emitter(indent="        ")
         compiler = _ExprCompiler(
-            emitter, scope={ELEM_VAR: ("_elem_vals", "_elem_ok")}, kernel=self, allow_temporal=False
+            emitter,
+            scope={ELEM_VAR: _Lowered("_elem_vals", _ALL_VALID, False)},
+            kernel=self,
+            allow_temporal=False,
         )
-        out_v, out_k = compiler.compile(element)
+        out = compiler.compile(element)
+        values = f"_np.full(_n, {out.value})" if out.scalar else out.value
         lines = [
             f"def {ELEMENT_FUNCTION_NAME}(elem, rt):",
             "    _np = rt.np",
             "    _n = len(elem)",
-            "    _TRUE = _np.ones(_n, dtype=bool)",
-            "    _FALSE = _np.zeros(_n, dtype=bool)",
             "    _elem_vals = _np.asarray(elem, dtype=_np.float64)",
-            "    _elem_ok = _TRUE",
             # masked-out lanes are evaluated eagerly and discarded via the
             # validity mask; errstate keeps them from emitting RuntimeWarnings
             '    with _np.errstate(all="ignore"):',
             emitter.body(),
-            f"    return _np.asarray({out_v}, dtype=_np.float64), _np.asarray({out_k}, dtype=bool)",
+            f"    return _np.asarray({values}, dtype=_np.float64), {out.mask}",
         ]
         return "\n".join(line for line in lines if line.strip() or line == "")
 
     def generate(self) -> KernelSpec:
         emitter = _Emitter(indent="        ")
         compiler = _ExprCompiler(emitter, scope={}, kernel=self, allow_temporal=True)
-        out_v, out_k = compiler.compile(self.te.expr)
+        out = compiler.compile(self.te.expr)
         lines = [
             f"def {KERNEL_FUNCTION_NAME}(env, t_start, t_end, rt):",
             f"    # generated kernel for temporal expression ~{self.te.name}",
@@ -368,8 +465,6 @@ class _KernelBuilder:
             "    _n = len(_ts)",
             "    if _n == 0:",
             "        return rt.empty(t_start)",
-            "    _TRUE = _np.ones(_n, dtype=bool)",
-            "    _FALSE = _np.zeros(_n, dtype=bool)",
             # per-run aggregator cache: execution state lives in the kernel
             # invocation, never in the shared KernelRuntime (concurrent
             # partitions of one compiled query must not see each other)
@@ -379,7 +474,7 @@ class _KernelBuilder:
             # mask; errstate silences the RuntimeWarnings of the masked lanes
             '    with _np.errstate(all="ignore"):',
             emitter.body(),
-            f"    return rt.build(_ts, {out_v}, {out_k}, t_start)",
+            f"    return rt.build(_ts, {out.value}, {out.mask}, t_start)",
         ]
         source = "\n".join(line for line in lines if line.strip() or line == "")
         accesses = collect_accesses(self.te.expr)

@@ -18,7 +18,7 @@ from ...windowing.functions import AggregateFunction
 from ...windowing.sliding import RangeAggregator
 from ..ir.nodes import TDom
 from ..lineage.boundary import AccessPattern
-from ..runtime.ssbuf import SSBuf
+from ..runtime.ssbuf import SSBuf, _ssbuf_from_arrays
 from .grid import evaluation_times_for_accesses
 
 __all__ = ["KernelRuntime"]
@@ -115,6 +115,14 @@ class KernelRuntime:
     def build(self, ts: np.ndarray, values, valid, t_start: float) -> SSBuf:
         """Assemble the output snapshot buffer from the kernel's arrays.
 
+        ``values``/``valid`` may be scalars (a constant or a statically known
+        mask), which are broadcast.  Both are copied, so the output never
+        shares memory with an input buffer (sessions compact their ingest
+        columns in place).  Taking over arrays the kernel computed instead
+        was measured slower on native batch runs: without the copy's free
+        of the kernel's array, glibc's dynamic mmap threshold stays low and
+        later grid temporaries are page-faulted in afresh.
+
         The buffer is not compacted: downstream reductions fold one value per
         snapshot, so merging adjacent equal snapshots would change their
         results.
@@ -146,11 +154,12 @@ class KernelRuntime:
         if elem_idx >= 0:
             element_fn = self.element_functions[elem_idx]
             mapped_vals, mapped_ok = element_fn(buf.values, self)
-            target = SSBuf(
+            # ``times`` come from an already validated buffer
+            target = _ssbuf_from_arrays(
                 buf.times,
                 mapped_vals,
-                np.asarray(buf.valid, dtype=bool) & np.asarray(mapped_ok, dtype=bool),
-                start_time=buf.start_time,
+                buf.valid if mapped_ok is True else buf.valid & mapped_ok,
+                buf.start_time,
             )
         aggregator = RangeAggregator(target, agg)
         cache[key] = aggregator

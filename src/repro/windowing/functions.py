@@ -79,6 +79,12 @@ class AggregateFunction:
     #: sum-of-squares formula, amplified by stddev's sqrt near zero) need
     #: this; plain sums/means stay on fast float64.
     prefix_extended_precision: bool = False
+    #: one flag per ``prefix_arrays`` component, set where the component is
+    #: a count (1 per snapshot).  A prefix index takes such a component
+    #: from its valid-count prefix instead of summing it again, and skips
+    #: ``prefix_arrays`` altogether when every component is a count.
+    #: Empty when undeclared: every component is then summed.
+    prefix_counts: Tuple[bool, ...] = ()
     rmq: Optional[str] = None  # 'max' | 'min'
     vector_eval: Optional[Callable[[np.ndarray], float]] = None
 
@@ -178,6 +184,7 @@ COUNT = AggregateFunction(
     deacc=lambda s, v: s - 1.0,
     merge=lambda a, b: a + b,
     prefix_arrays=lambda vals: (np.ones_like(vals),),
+    prefix_counts=(True,),
     prefix_result=lambda n: n,
     vector_eval=lambda vals: float(len(vals)),
 )
@@ -219,6 +226,7 @@ MEAN = AggregateFunction(
     deacc=lambda s, v: (s[0] - v, s[1] - 1.0),
     merge=lambda a, b: (a[0] + b[0], a[1] + b[1]),
     prefix_arrays=lambda vals: (vals, np.ones_like(vals)),
+    prefix_counts=(False, True),
     prefix_result=lambda s, n: np.divide(s, n, out=np.zeros_like(s), where=n != 0),
     vector_eval=np.mean,
 )
@@ -233,6 +241,7 @@ VARIANCE = AggregateFunction(
     deacc=lambda s, v: (s[0] - v, s[1] - v * v, s[2] - 1.0),
     merge=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
     prefix_arrays=_variance_prefix_arrays,
+    prefix_counts=(False, False, True),
     prefix_extended_precision=True,
     prefix_result=lambda s, sq, n: np.maximum(
         np.where(
@@ -253,6 +262,7 @@ STDDEV = AggregateFunction(
     deacc=VARIANCE.deacc,
     merge=VARIANCE.merge,
     prefix_arrays=VARIANCE.prefix_arrays,
+    prefix_counts=VARIANCE.prefix_counts,
     prefix_extended_precision=True,
     prefix_result=lambda s, sq, n: _safe_sqrt(VARIANCE.prefix_result(s, sq, n)),
     vector_eval=lambda vals: float(np.std(vals)),

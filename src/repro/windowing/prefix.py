@@ -16,12 +16,12 @@ import numpy as np
 
 from .functions import AggregateFunction
 
-__all__ = ["PrefixRangeIndex", "snapshot_range_indices"]
+__all__ = ["PrefixRangeIndex", "snapshot_range_indices", "valid_count_prefix"]
 
 
 def snapshot_range_indices(
     times: np.ndarray,
-    interval_starts: np.ndarray,
+    start_time: float,
     window_starts: np.ndarray,
     window_ends: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -35,11 +35,28 @@ def snapshot_range_indices(
         lo = first i such that t_i > ws
         hi = first i such that s_i >= we
 
+    The interval starts are ``s_0 = start_time`` and ``s_i = t_{i-1}``, so
+    ``hi`` is ``0`` when ``start_time >= we`` and otherwise one past the
+    first ``t_j >= we``, capped at ``n``; no interval-start array is built.
+
     Returns ``(lo, hi)`` arrays; empty windows have ``lo >= hi``.
     """
+    window_ends = np.asarray(window_ends)
     lo = np.searchsorted(times, window_starts, side="right")
-    hi = np.searchsorted(interval_starts, window_ends, side="left")
+    hi = np.searchsorted(times, window_ends, side="left")
+    if len(times):
+        np.minimum(hi, len(times) - 1, out=hi)
+        hi += 1
+        hi[window_ends <= start_time] = 0
     return lo, hi
+
+
+def valid_count_prefix(valid: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(valid)...]`` as float64, in one pass over ``valid``."""
+    prefix = np.empty(len(valid) + 1)
+    prefix[0] = 0.0
+    np.cumsum(valid, dtype=np.float64, out=prefix[1:])
+    return prefix
 
 
 class PrefixRangeIndex:
@@ -47,8 +64,8 @@ class PrefixRangeIndex:
 
     Parameters
     ----------
-    times, interval_starts, values, valid:
-        Snapshot arrays of the input SSBuf.
+    times, start_time, values, valid:
+        Snapshot arrays and start time of the input SSBuf.
     agg:
         An aggregate with ``prefix_arrays`` / ``prefix_result`` hooks.
     """
@@ -56,7 +73,7 @@ class PrefixRangeIndex:
     def __init__(
         self,
         times: np.ndarray,
-        interval_starts: np.ndarray,
+        start_time: float,
         values: np.ndarray,
         valid: np.ndarray,
         agg: AggregateFunction,
@@ -65,7 +82,7 @@ class PrefixRangeIndex:
             raise ValueError(f"aggregate {agg.name!r} has no prefix decomposition")
         self.agg = agg
         self.times = np.asarray(times, dtype=np.float64)
-        self.interval_starts = np.asarray(interval_starts, dtype=np.float64)
+        self.start_time = float(start_time)
         valid = np.asarray(valid, dtype=bool)
         # Aggregates whose result cancels large prefix components against
         # each other (variance/stddev) accumulate in extended precision:
@@ -78,17 +95,30 @@ class PrefixRangeIndex:
         # can cancel.  Everything else (sums, means, counts) stays on fast
         # float64.
         dtype = np.longdouble if agg.prefix_extended_precision else np.float64
-        masked = np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(
-            dtype, copy=False
-        )
-        components = agg.prefix_arrays(masked)
+        self._valid_prefix = valid_count_prefix(valid)
+        counts = agg.prefix_counts
+        if counts and all(counts):
+            # nothing but counts: the values are never read
+            masked = None
+            components: Tuple[Optional[np.ndarray], ...] = (None,) * len(counts)
+        else:
+            masked = np.where(valid, np.asarray(values, dtype=np.float64), 0.0).astype(
+                dtype, copy=False
+            )
+            components = agg.prefix_arrays(masked)
         # invalid snapshots must contribute nothing to *any* component
         # (e.g. the count component of Mean), hence the explicit masking.
+        # A count component (one per valid snapshot) is exactly the valid
+        # count prefix; the masked values themselves are masked already.
         self._prefixes = []
-        self._valid_prefix = np.concatenate(([0.0], np.cumsum(valid.astype(np.float64))))
-        for comp in components:
-            comp = np.where(valid, comp, 0.0)
-            prefix = np.zeros(len(comp) + 1, dtype=dtype)
+        for i, comp in enumerate(components):
+            if i < len(counts) and counts[i]:
+                self._prefixes.append(self._valid_prefix.astype(dtype, copy=False))
+                continue
+            if comp is not masked:
+                comp = np.where(valid, comp, 0.0)
+            prefix = np.empty(len(comp) + 1, dtype=dtype)
+            prefix[0] = 0.0
             np.cumsum(comp, dtype=dtype, out=prefix[1:])
             self._prefixes.append(prefix)
 
@@ -102,9 +132,7 @@ class PrefixRangeIndex:
         """
         window_starts = np.asarray(window_starts, dtype=np.float64)
         window_ends = np.asarray(window_ends, dtype=np.float64)
-        lo, hi = snapshot_range_indices(
-            self.times, self.interval_starts, window_starts, window_ends
-        )
+        lo, hi = snapshot_range_indices(self.times, self.start_time, window_starts, window_ends)
         hi = np.maximum(hi, lo)
         counts = self._valid_prefix[hi] - self._valid_prefix[lo]
         sums = [p[hi] - p[lo] for p in self._prefixes]

@@ -40,16 +40,14 @@ class RangeAggregator:
         self.agg = agg
         self._prefix: Optional[PrefixRangeIndex] = None
         self._rmq: Optional[SparseTableRMQ] = None
-        interval_starts = buf.interval_starts
         if agg.prefix_arrays is not None and agg.prefix_result is not None:
             self._prefix = PrefixRangeIndex(
-                buf.times, interval_starts, buf.values, buf.valid, agg
+                buf.times, buf.start_time, buf.values, buf.valid, agg
             )
         elif agg.rmq is not None:
             self._rmq = SparseTableRMQ(
-                buf.times, interval_starts, buf.values, buf.valid, mode=agg.rmq
+                buf.times, buf.start_time, buf.values, buf.valid, mode=agg.rmq
             )
-        self._interval_starts = interval_starts
 
     def query(
         self, window_starts: np.ndarray, window_ends: np.ndarray
@@ -67,7 +65,7 @@ class RangeAggregator:
         self, window_starts: np.ndarray, window_ends: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         lo, hi = snapshot_range_indices(
-            self.buf.times, self._interval_starts, window_starts, window_ends
+            self.buf.times, self.buf.start_time, window_starts, window_ends
         )
         out = np.zeros(len(window_starts))
         ok = np.zeros(len(window_starts), dtype=bool)

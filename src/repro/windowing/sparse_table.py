@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .prefix import snapshot_range_indices
+from .prefix import snapshot_range_indices, valid_count_prefix
 
 __all__ = ["SparseTableRMQ"]
 
@@ -24,9 +24,9 @@ class SparseTableRMQ:
 
     Parameters
     ----------
-    times, interval_starts:
-        Snapshot timing arrays (used to translate time windows to index
-        ranges).
+    times, start_time:
+        Snapshot times and the buffer's start time (used to translate time
+        windows to index ranges).
     values, valid:
         Snapshot values and validity mask; invalid snapshots never win a
         query.
@@ -37,7 +37,7 @@ class SparseTableRMQ:
     def __init__(
         self,
         times: np.ndarray,
-        interval_starts: np.ndarray,
+        start_time: float,
         values: np.ndarray,
         valid: np.ndarray,
         mode: str = "max",
@@ -46,12 +46,12 @@ class SparseTableRMQ:
             raise ValueError("mode must be 'max' or 'min'")
         self.mode = mode
         self.times = np.asarray(times, dtype=np.float64)
-        self.interval_starts = np.asarray(interval_starts, dtype=np.float64)
+        self.start_time = float(start_time)
         valid = np.asarray(valid, dtype=bool)
         n = len(self.times)
         fill = -np.inf if mode == "max" else np.inf
         base = np.where(valid, np.asarray(values, dtype=np.float64), fill)
-        self._valid_prefix = np.concatenate(([0.0], np.cumsum(valid.astype(np.float64))))
+        self._valid_prefix = valid_count_prefix(valid)
         self._levels = [base]
         self._reduce = np.maximum if mode == "max" else np.minimum
         # level k answers queries over spans of 2**k; level k+1 combines two
@@ -93,6 +93,6 @@ class SparseTableRMQ:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Aggregate over time windows ``(ws_i, we_i]`` (vectorized)."""
         lo, hi = snapshot_range_indices(
-            self.times, self.interval_starts, np.asarray(window_starts), np.asarray(window_ends)
+            self.times, self.start_time, np.asarray(window_starts), np.asarray(window_ends)
         )
         return self.query_indices(lo, hi)

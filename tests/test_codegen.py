@@ -5,6 +5,8 @@ exactly the same snapshot buffers as the interpreted reference backend for
 any query, and both respect the φ-propagation semantics.
 """
 
+from typing import Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,26 +25,51 @@ from repro.core.codegen import (
     snap_to_precision,
 )
 from repro.core.frontend.query import LEFT, PAYLOAD, RIGHT, source
+from repro.core.codegen.pysource import (
+    ELEMENT_FUNCTION_NAME,
+    KERNEL_FUNCTION_NAME,
+    KernelSpec,
+    _Emitter,
+    _ExprCompiler,
+    _KernelBuilder,
+)
 from repro.core.ir import (
+    BinOp,
     Call,
     Coalesce,
     Const,
     ELEM_VAR,
+    Expr,
+    IfThenElse,
     IRBuilder,
     IsValid,
     Let,
     Phi,
+    Reduce,
     TDom,
     TIndex,
+    TRef,
+    TWindow,
     TemporalExpr,
+    UnaryOp,
     Var,
     when,
+)
+from repro.core.ir.analysis import estimate_static_cost
+from repro.core.lineage.boundary import collect_accesses
+from repro.core.ops import (
+    NUMPY_BINOP_DOMAIN,
+    NUMPY_BINOPS,
+    NUMPY_CALL_DOMAIN,
+    NUMPY_CALLS,
+    NUMPY_UNOP_DOMAIN,
+    NUMPY_UNOPS,
 )
 from repro.core.lineage import AccessPattern, resolve_boundaries
 from repro.core.runtime.ssbuf import SSBuf, ssbuf_from_stream
 from repro.core.runtime.stream import Event, EventStream
-from repro.errors import ExecutionError
-from repro.windowing import MAX, MEAN, STDDEV, SUM
+from repro.errors import CompilationError, ExecutionError
+from repro.windowing import COUNT, MAX, MEAN, STDDEV, SUM
 
 E = PAYLOAD
 
@@ -378,3 +405,287 @@ def test_property_compiled_equals_interpreted(values, query_name):
     cv, ck = compiled.values_at(grid)
     assert np.array_equal(ik, ck)
     assert np.allclose(iv[ik], cv[ck], rtol=1e-7, atol=1e-7)
+
+
+# ---------------------------------------------------------------------- #
+# generated kernels against the materializing lowering
+# ---------------------------------------------------------------------- #
+class _MaterializingCompiler(_ExprCompiler):
+    """The lowering that evaluates every node as an n-length array pair
+    (constants via ``_np.full``, masks via ``_TRUE``/``_FALSE``), kept
+    verbatim as the reference for scalar constants and folded masks."""
+
+    def compile(self, expr: Expr) -> Tuple[str, str]:
+        if isinstance(expr, Const):
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.full(_n, {expr.value!r})")
+            self.emitter.emit(f"{k} = _TRUE")
+            return v, k
+        if isinstance(expr, Phi):
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.zeros(_n)")
+            self.emitter.emit(f"{k} = _FALSE")
+            return v, k
+        if isinstance(expr, Var):
+            if expr.name not in self.scope:
+                raise CompilationError(f"unbound variable {expr.name!r} during code generation")
+            return self.scope[expr.name]
+        if isinstance(expr, (TRef, TIndex)):
+            if not self.allow_temporal:
+                raise CompilationError("temporal access inside a reduce element expression")
+            ref = expr.name if isinstance(expr, TRef) else expr.ref
+            offset = 0.0 if isinstance(expr, TRef) else expr.offset
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v}, {k} = rt.point(env, {ref!r}, {offset!r}, _ts)")
+            return v, k
+        if isinstance(expr, Reduce):
+            if not self.allow_temporal:
+                raise CompilationError("nested reduction inside a reduce element expression")
+            return self._compile_reduce(expr)
+        if isinstance(expr, TWindow):
+            raise CompilationError("windowed temporal object used outside a reduction")
+        if isinstance(expr, BinOp):
+            lv, lk = self.compile(expr.lhs)
+            rv, rk = self.compile(expr.rhs)
+            v, k = self.emitter.fresh()
+            template = NUMPY_BINOPS[expr.op]
+            self.emitter.emit(f"{v} = " + template.format(a=lv, b=rv))
+            mask = f"{lk} & {rk}"
+            domain = NUMPY_BINOP_DOMAIN.get(expr.op)
+            if domain is not None:
+                mask = f"({mask}) & " + domain.format(a=lv, b=rv)
+            self.emitter.emit(f"{k} = {mask}")
+            return v, k
+        if isinstance(expr, UnaryOp):
+            ov, ok = self.compile(expr.operand)
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = " + NUMPY_UNOPS[expr.op].format(a=ov))
+            mask = ok
+            domain = NUMPY_UNOP_DOMAIN.get(expr.op)
+            if domain is not None:
+                mask = f"({ok}) & " + domain.format(a=ov)
+            self.emitter.emit(f"{k} = {mask}")
+            return v, k
+        if isinstance(expr, IfThenElse):
+            cv, ck = self.compile(expr.cond)
+            tv, tk = self.compile(expr.then)
+            ev, ek = self.compile(expr.orelse)
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.where({cv} != 0, {tv}, {ev})")
+            self.emitter.emit(f"{k} = {ck} & _np.where({cv} != 0, {tk}, {ek})")
+            return v, k
+        if isinstance(expr, IsValid):
+            _, ok = self.compile(expr.operand)
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = ({ok}).astype(_np.float64)")
+            self.emitter.emit(f"{k} = _TRUE")
+            return v, k
+        if isinstance(expr, Coalesce):
+            ov, ok = self.compile(expr.operand)
+            dv, dk = self.compile(expr.default)
+            v, k = self.emitter.fresh()
+            self.emitter.emit(f"{v} = _np.where({ok}, {ov}, {dv})")
+            self.emitter.emit(f"{k} = {ok} | {dk}")
+            return v, k
+        if isinstance(expr, Call):
+            arg_pairs = [self.compile(a) for a in expr.args]
+            v, k = self.emitter.fresh()
+            arg_vals = [p[0] for p in arg_pairs]
+            self.emitter.emit(f"{v} = " + NUMPY_CALLS[expr.func].format(*arg_vals))
+            mask = " & ".join(p[1] for p in arg_pairs) or "_TRUE"
+            domain = NUMPY_CALL_DOMAIN.get(expr.func)
+            if domain is not None:
+                mask = f"({mask}) & " + domain.format(*arg_vals)
+            self.emitter.emit(f"{k} = {mask}")
+            return v, k
+        if isinstance(expr, Let):
+            saved = dict(self.scope)
+            for name, value in expr.bindings:
+                self.scope[name] = self.compile(value)
+            result = self.compile(expr.body)
+            self.scope = saved
+            return result
+        raise CompilationError(f"cannot generate code for node type {type(expr).__name__}")
+
+    # ------------------------------------------------------------------ #
+    def _compile_reduce(self, expr: Reduce) -> Tuple[str, str]:
+        agg_idx = self.kernel.register_aggregate(expr.agg)
+        elem_idx = self.kernel.register_element(expr.element) if expr.element is not None else -1
+        window = expr.window
+        self.kernel.reduce_sites.append(
+            (window.ref, float(window.start_offset), float(window.end_offset), agg_idx, elem_idx)
+        )
+        v, k = self.emitter.fresh()
+        self.emitter.emit(
+            f"{v}, {k} = rt.reduce(env, {window.ref!r}, {window.start_offset!r}, "
+            f"{window.end_offset!r}, {agg_idx}, {elem_idx}, _ts, _cache)"
+        )
+        return v, k
+
+
+class _MaterializingBuilder(_KernelBuilder):
+    """Kernel builder over :class:`_MaterializingCompiler` (verbatim but
+    for the compiler class)."""
+
+    def _generate_element_source(self, element: Expr) -> str:
+        emitter = _Emitter(indent="        ")
+        compiler = _MaterializingCompiler(
+            emitter, scope={ELEM_VAR: ("_elem_vals", "_elem_ok")}, kernel=self, allow_temporal=False
+        )
+        out_v, out_k = compiler.compile(element)
+        lines = [
+            f"def {ELEMENT_FUNCTION_NAME}(elem, rt):",
+            "    _np = rt.np",
+            "    _n = len(elem)",
+            "    _TRUE = _np.ones(_n, dtype=bool)",
+            "    _FALSE = _np.zeros(_n, dtype=bool)",
+            "    _elem_vals = _np.asarray(elem, dtype=_np.float64)",
+            "    _elem_ok = _TRUE",
+            # masked-out lanes are evaluated eagerly and discarded via the
+            # validity mask; errstate keeps them from emitting RuntimeWarnings
+            '    with _np.errstate(all="ignore"):',
+            emitter.body(),
+            f"    return _np.asarray({out_v}, dtype=_np.float64), _np.asarray({out_k}, dtype=bool)",
+        ]
+        return "\n".join(line for line in lines if line.strip() or line == "")
+
+    def generate(self) -> KernelSpec:
+        emitter = _Emitter(indent="        ")
+        compiler = _MaterializingCompiler(emitter, scope={}, kernel=self, allow_temporal=True)
+        out_v, out_k = compiler.compile(self.te.expr)
+        lines = [
+            f"def {KERNEL_FUNCTION_NAME}(env, t_start, t_end, rt):",
+            f"    # generated kernel for temporal expression ~{self.te.name}",
+            "    _np = rt.np",
+            "    _ts = rt.eval_times(env, t_start, t_end)",
+            "    _n = len(_ts)",
+            "    if _n == 0:",
+            "        return rt.empty(t_start)",
+            "    _TRUE = _np.ones(_n, dtype=bool)",
+            "    _FALSE = _np.zeros(_n, dtype=bool)",
+            # per-run aggregator cache: execution state lives in the kernel
+            # invocation, never in the shared KernelRuntime (concurrent
+            # partitions of one compiled query must not see each other)
+            "    _cache = {}",
+            # both branches of a conditional (and domain-guarded operands)
+            # are evaluated eagerly, then discarded through the validity
+            # mask; errstate silences the RuntimeWarnings of the masked lanes
+            '    with _np.errstate(all="ignore"):',
+            emitter.body(),
+            f"    return rt.build(_ts, {out_v}, {out_k}, t_start)",
+        ]
+        source = "\n".join(line for line in lines if line.strip() or line == "")
+        accesses = collect_accesses(self.te.expr)
+        return KernelSpec(
+            name=self.te.name,
+            tdom=self.te.tdom,
+            source=source,
+            element_sources=list(self.element_sources),
+            aggregates=list(self.aggregates),
+            accesses=accesses,
+            referenced=list(accesses.keys()),
+            reduce_sites=list(self.reduce_sites),
+            te=self.te,
+            static_cost=estimate_static_cost(self.te),
+        )
+
+
+_ORACLE_CONSTS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.5, 3.0, 1e300, -1e-300, 700.0, 1000.0]
+_ORACLE_BINOPS = ["+", "-", "*", "/", "%", "**", "min", "max", ">", "<", ">=", "<=", "==", "!=", "and", "or"]
+_ORACLE_UNOPS = ["neg", "not", "abs", "sqrt", "exp", "log", "floor", "ceil", "sign"]
+_ORACLE_CALLS = ["sqrt", "exp", "log", "abs", "floor", "ceil", "sin", "cos"]
+_ORACLE_AGGS = [SUM, COUNT, MEAN, MAX, STDDEV]
+
+
+def _scalar_trees(leaves):
+    """Random scalar expression trees over ``leaves``."""
+    constant = st.sampled_from(_ORACLE_CONSTS).map(Const)
+    constant_tree = st.recursive(
+        st.one_of(constant, st.just(Phi())),
+        lambda inner: st.builds(BinOp, st.sampled_from(_ORACLE_BINOPS), inner, inner),
+        max_leaves=4,
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(_ORACLE_BINOPS), inner, inner),
+            st.builds(UnaryOp, st.sampled_from(_ORACLE_UNOPS), inner),
+            st.builds(IfThenElse, inner, inner, inner),
+            # Where-style conditionals: one branch φ, the other all-valid
+            st.builds(IfThenElse, inner, st.just(Phi()), constant),
+            st.builds(IfThenElse, inner, constant, st.just(Phi())),
+            st.builds(Coalesce, inner, inner),
+            st.builds(Coalesce, inner, st.one_of(constant, st.just(Phi()))),
+            st.builds(IsValid, inner),
+            st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(_ORACLE_CALLS), inner),
+            st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(["pow", "atan2"]), inner, inner),
+            # exp/log over constant-only subtrees: the widened-scalar path
+            st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(["exp", "log"]), constant_tree),
+            st.builds(lambda a, b: Let((("_a", a),), BinOp("+", Var("_a"), b)), inner, inner),
+        )
+
+    # inputs drawn twice as often as constants or φ, so most trees keep
+    # some valid lanes
+    return st.recursive(st.one_of(leaves, constant, leaves, st.just(Phi())), extend, max_leaves=10)
+
+
+_element_trees = _scalar_trees(st.just(Var(ELEM_VAR)))
+_reductions = st.builds(
+    lambda agg, start, element: Reduce(agg, TWindow("x", start, 0.0), element=element),
+    st.sampled_from(_ORACLE_AGGS),
+    st.sampled_from([-3.0, -1.5, -20.0]),
+    st.one_of(st.none(), _element_trees),
+)
+_kernel_trees = _scalar_trees(
+    st.one_of(st.sampled_from([TIndex("x", 0.0), TIndex("x", -1.0), TIndex("y", 0.0)]), _reductions)
+)
+
+
+@st.composite
+def _oracle_buffers(draw):
+    """Buffers ``x`` and ``y`` with φ gaps, zeros, negatives and an early
+    ``start_time``."""
+    env = {}
+    for ref in ("x", "y"):
+        n = draw(st.integers(0, 24) if ref == "y" else st.integers(4, 24))
+        times = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=n, max_size=n)))
+        values = draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.25, 3.0, -7.5, 1e5]), min_size=n, max_size=n
+            )
+        )
+        valid = draw(st.lists(st.sampled_from([True, True, False]), min_size=n, max_size=n))
+        env[ref] = SSBuf(times, values, valid, start_time=draw(st.sampled_from([0.0, -2.0])))
+    return env
+
+
+def _run_spec(spec, env, t_start, t_end):
+    from repro.core.codegen.compiled import CompiledKernel
+
+    return CompiledKernel(spec).run(env, t_start, t_end)
+
+
+@given(_kernel_trees, _oracle_buffers(), st.sampled_from([(0.0, 30.0), (-3.0, 4.0), (5.0, 12.5)]))
+@settings(max_examples=300, deadline=None)
+def test_property_lowering_matches_materializing_reference(expr, env, window):
+    """Scalar constants and folded masks change no byte of any kernel's
+    output, whether a node sits in the kernel body or in a reduce element
+    map."""
+    te = TemporalExpr("out", TDom(), expr)
+    got = _run_spec(_KernelBuilder(te).generate(), env, *window)
+    want = _run_spec(_MaterializingBuilder(te).generate(), env, *window)
+    assert got.start_time == want.start_time
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.valid.tobytes() == want.valid.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_ysb_element_map_materializes_no_constants():
+    from repro.apps import YSB
+
+    compiled = compile_program(YSB.program())
+    element_sources = [src for k in compiled.kernels for src in k.spec.element_sources]
+    assert element_sources
+    for src in element_sources:
+        assert "_np.full(_n" not in src
+        assert "_np.zeros(_n" not in src
